@@ -43,7 +43,6 @@ double run_config(contract::ContractionForest& c, const forest::Forest& f,
   par::scheduler::initialize(workers);
   service::ServiceConfig cfg;
   cfg.overlap_updates = overlap;
-  cfg.validate_updates = false;  // serving hygiene off: measure the engine
   service::BatchServer server(
       c, cfg, std::vector<service::Weight>(f.capacity(), 1));
 

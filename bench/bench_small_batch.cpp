@@ -44,10 +44,8 @@ int main() {
     contract::ContractionForest c(full.capacity(), 4, 99);
     contract::construct(c, initial);
 
-    service::ServiceConfig cfg;
-    cfg.validate_updates = false;  // measure the engine, not the checker
     service::BatchServer server(
-        c, cfg, std::vector<service::Weight>(full.capacity(), 1));
+        c, {}, std::vector<service::Weight>(full.capacity(), 1));
 
     auto apply_once = [&](const forest::ChangeSet& cs) {
       service::UpdateRequest u;

@@ -1,6 +1,8 @@
 #include "contraction/dynamic_update.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <numeric>
 #include <stdexcept>
 
 #include "analysis/annotations.hpp"
@@ -34,6 +36,50 @@ constexpr analysis::ShadowKey old_leaf_cell(VertexId v) {
 }
 constexpr analysis::ShadowKey new_leaf_cell(VertexId v) {
   return analysis::scratch_cell(analysis::ShadowArray::kNewLeaf, v);
+}
+
+// The structure's round-0 records as a read-only forest view for
+// forest::check_local: they *are* the current forest.
+class Round0View {
+ public:
+  explicit Round0View(const ContractionForest& c) : c_(c) {}
+  std::size_t capacity() const { return c_.capacity(); }
+  int degree_bound() const { return c_.degree_bound(); }
+  bool present(VertexId v) const { return c_.duration(v) > 0; }
+  VertexId parent(VertexId v) const { return c_.record(0, v).parent; }
+  const ChildArray& children(VertexId v) const {
+    return c_.record(0, v).children;
+  }
+
+ private:
+  const ContractionForest& c_;
+};
+
+// Folds the stats of a later apply of the same update into `into`.
+void accumulate(UpdateStats& into, const UpdateStats& from) {
+  into.rounds += from.rounds;
+  into.initial_affected += from.initial_affected;
+  into.total_affected += from.total_affected;
+  into.max_affected = std::max(into.max_affected, from.max_affected);
+  into.total_neighborhood += from.total_neighborhood;
+  into.chose_serial += from.chose_serial;
+  into.fused_passes += from.fused_passes;
+  for (unsigned p = 0; p < kNumUpdatePhases; ++p) {
+    into.phase_seconds[p] += from.phase_seconds[p];
+  }
+  into.total_seconds += from.total_seconds;
+  auto append = [](auto& to, const auto& tail) {
+    to.insert(to.end(), tail.begin(), tail.end());
+  };
+  append(into.affected_per_round, from.affected_per_round);
+  append(into.neighborhood_per_round, from.neighborhood_per_round);
+  append(into.serial_per_round, from.serial_per_round);
+  into.ws_acquires += from.ws_acquires;
+  into.ws_hits += from.ws_hits;
+  into.ws_misses += from.ws_misses;
+  into.ws_bytes_allocated += from.ws_bytes_allocated;
+  into.ws_container_growths += from.ws_container_growths;
+  into.ws_container_bytes += from.ws_container_bytes;
 }
 }  // namespace
 
@@ -271,6 +317,81 @@ UpdateStats DynamicUpdater::apply(const forest::ChangeSet& m,
   stats.ws_container_growths = ws_delta.container_growths;
   stats.ws_container_bytes = ws_delta.container_bytes;
   return stats;
+}
+
+VertexId DynamicUpdater::climb_root(VertexId v) const {
+  if (v >= c_.capacity()) return v;
+  for (;;) {
+    const std::uint32_t d = c_.duration(v);
+    if (d == 0) return v;
+    const VertexId p = c_.record(d - 1, v).parent;
+    if (p == v) return v;
+    v = p;
+  }
+}
+
+std::optional<std::string> DynamicUpdater::check_acyclic(
+    const std::vector<Edge>& eplus) {
+  roots_.clear();
+  for (const Edge& e : eplus) {
+    roots_.push_back(climb_root(e.child));
+    roots_.push_back(climb_root(e.parent));
+  }
+  root_ids_.assign(roots_.begin(), roots_.end());
+  std::sort(root_ids_.begin(), root_ids_.end());
+  root_ids_.erase(std::unique(root_ids_.begin(), root_ids_.end()),
+                  root_ids_.end());
+  uf_.resize(root_ids_.size());
+  std::iota(uf_.begin(), uf_.end(), 0u);
+  auto find = [&](VertexId root) {
+    std::uint32_t x = static_cast<std::uint32_t>(
+        std::lower_bound(root_ids_.begin(), root_ids_.end(), root) -
+        root_ids_.begin());
+    while (uf_[x] != x) x = uf_[x] = uf_[uf_[x]];  // path halving
+    return x;
+  };
+  for (std::size_t k = 0; k < eplus.size(); ++k) {
+    const std::uint32_t a = find(roots_[2 * k]);
+    const std::uint32_t b = find(roots_[2 * k + 1]);
+    if (a == b) return "edited graph invalid: E+ edge closes a cycle";
+    uf_[a] = b;
+  }
+  return std::nullopt;
+}
+
+std::optional<std::string> DynamicUpdater::apply_checked(
+    const forest::ChangeSet& m, UpdateStats& stats, EventHooks* hooks) {
+  if (auto err = forest::check_local(Round0View(c_), m, index_)) return err;
+  const bool cuts = !m.remove_vertices.empty() || !m.remove_edges.empty();
+  if (!cuts || m.add_edges.empty()) {
+    if (auto err = check_acyclic(m.add_edges)) return err;
+    stats = apply(m, hooks);
+    return std::nullopt;
+  }
+  // Mixed batch: E+ must be checked against the roots *after* the cut.
+  // Deletions always leave a valid forest, so apply them first; the
+  // structure is a function of the forest and the coins (behavioural
+  // equivalence), so finishing with V+/E+ — or undoing the cut by
+  // re-adding V- and re-linking E- — equals a single apply of the batch,
+  // or the structure before it, up to child-slot layout.
+  phase_.remove_vertices = m.remove_vertices;  // copies reuse capacity
+  phase_.remove_edges = m.remove_edges;
+  phase_.add_vertices.clear();
+  phase_.add_edges.clear();
+  stats = apply(phase_, hooks);
+  if (auto err = check_acyclic(m.add_edges)) {
+    // Undo the cut: re-add V- and re-link E-.
+    std::swap(phase_.remove_vertices, phase_.add_vertices);
+    std::swap(phase_.remove_edges, phase_.add_edges);
+    apply(phase_, hooks);
+    return err;
+  }
+  phase_.remove_vertices.clear();
+  phase_.remove_edges.clear();
+  phase_.add_vertices = m.add_vertices;
+  phase_.add_edges = m.add_edges;
+  accumulate(stats, apply(phase_, hooks));
+  return std::nullopt;
 }
 
 void DynamicUpdater::propagate(std::uint32_t i, EventHooks* hooks,

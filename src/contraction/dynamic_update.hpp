@@ -8,6 +8,8 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -95,18 +97,41 @@ class DynamicUpdater {
   DynamicUpdater(const DynamicUpdater&) = delete;
   DynamicUpdater& operator=(const DynamicUpdater&) = delete;
 
-  /// ModifyContraction (paper Fig. 3). Preconditions as in the paper: V-
-  /// present, V+ fresh, E- existing edges, E+ new edges between
-  /// present-after-edit vertices, every edge incident to V- listed in E-,
-  /// and the edited graph is a bounded-degree forest (use
-  /// forest::check_change_set to verify). Not thread-safe with respect to
+  /// ModifyContraction (paper Fig. 3). The batch must satisfy the
+  /// preconditions of paper §2.5 (forest/change_set.hpp); apply does not
+  /// check them, and an invalid batch corrupts the structure. Use
+  /// apply_checked for untrusted batches. Not thread-safe with respect to
   /// concurrent reads of the structure.
   UpdateStats apply(const forest::ChangeSet& m, EventHooks* hooks = nullptr);
+
+  /// Validates `m` against the structure itself and applies it only if
+  /// valid. The local preconditions (forest::check_local) read the round-0
+  /// records; acyclicity unions the roots of E+ endpoints, each found by
+  /// climbing death-round parents in O(log n) expected steps. A batch
+  /// with both deletions and E+ applies V-/E- first (deletions always
+  /// leave a forest), checks E+ against the post-cut roots, then applies
+  /// V+/E+ or rolls the cut back. Returns the rejection reason with the
+  /// structure left structurally_equal to before, or nullopt once applied
+  /// (`stats` then describes the whole update). O(m log n) expected beyond
+  /// the update itself; the check's buffers are reused members, so once
+  /// warm it allocates nothing for a valid batch. If an apply inside it
+  /// throws — the cut, the rollback or the insertions — the exception
+  /// propagates and the structure is left mid-batch, as after a throwing
+  /// apply; callers treat that as fatal for the structure.
+  std::optional<std::string> apply_checked(const forest::ChangeSet& m,
+                                           UpdateStats& stats,
+                                           EventHooks* hooks = nullptr);
 
   ContractionForest& structure() { return c_; }
 
  private:
   void grow_scratch();
+  /// Root of v's tree: follows record(duration(v)-1, v).parent until a
+  /// vertex is its own parent. A vertex not yet in the structure (a V+ id)
+  /// is its own root.
+  VertexId climb_root(VertexId v) const;
+  /// Rejects E+ edges that close a cycle over the current structure.
+  std::optional<std::string> check_acyclic(const std::vector<Edge>& eplus);
   /// One round of Propagate (paper Fig. 4); consumes lset_/xset_ and
   /// replaces them with the next round's sets. serial_t0/serial_open carry
   /// one phase_seconds[kPhaseSerial] bracket across *consecutive* serial
@@ -197,6 +222,13 @@ class DynamicUpdater {
   std::vector<VertexId> next_l_;  // next round's L (swapped into lset_)
   std::vector<VertexId> flipped_; // parents of leaf-status flips (round 0)
   std::vector<Edge> inserts_;     // E+ sorted by parent (initial phase)
+
+  // apply_checked scratch, reused like the round pipelines above.
+  forest::ChangeSetIndex index_;       // sorted batch sets (local checks)
+  std::vector<VertexId> roots_;        // climbed roots of E+ endpoints
+  std::vector<VertexId> root_ids_;     // sorted distinct roots_
+  std::vector<std::uint32_t> uf_;      // union-find over root_ids_ indices
+  forest::ChangeSet phase_;            // one phase of a mixed batch
 };
 
 /// One-shot convenience wrapper (allocates O(n) scratch per call; prefer a

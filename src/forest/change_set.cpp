@@ -4,84 +4,41 @@
 #include <istream>
 #include <ostream>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "forest/validation.hpp"
 
 namespace parct::forest {
 
-namespace {
+void ChangeSetIndex::assign(const ChangeSet& m) {
+  vminus.assign(m.remove_vertices.begin(), m.remove_vertices.end());
+  vplus.assign(m.add_vertices.begin(), m.add_vertices.end());
+  eminus.assign(m.remove_edges.begin(), m.remove_edges.end());
+  eplus.assign(m.add_edges.begin(), m.add_edges.end());
+  eplus_children.clear();
+  for (const Edge& e : m.add_edges) eplus_children.push_back(e.child);
+  std::sort(vminus.begin(), vminus.end());
+  std::sort(vplus.begin(), vplus.end());
+  std::sort(eminus.begin(), eminus.end(), by_parent);
+  std::sort(eplus.begin(), eplus.end(), by_parent);
+  std::sort(eplus_children.begin(), eplus_children.end());
+}
 
-struct EdgeHash {
-  std::size_t operator()(const Edge& e) const {
-    return (static_cast<std::size_t>(e.child) << 32) ^ e.parent;
-  }
-};
-
-}  // namespace
+std::size_t ChangeSetIndex::eminus_children_of(VertexId p) const {
+  // eminus is ordered by (parent, child): p's edges run from {0, p} up to
+  // {0, p + 1}.
+  auto from = [&](VertexId q) {
+    return std::lower_bound(eminus.begin(), eminus.end(), Edge{0, q},
+                            by_parent);
+  };
+  return static_cast<std::size_t>(from(p + 1) - from(p));
+}
 
 std::optional<std::string> check_change_set(const Forest& f,
                                             const ChangeSet& m) {
-  std::unordered_set<VertexId> vminus(m.remove_vertices.begin(),
-                                      m.remove_vertices.end());
-  std::unordered_set<VertexId> vplus(m.add_vertices.begin(),
-                                     m.add_vertices.end());
-  std::unordered_set<Edge, EdgeHash> eminus(m.remove_edges.begin(),
-                                            m.remove_edges.end());
-  std::unordered_set<Edge, EdgeHash> eplus(m.add_edges.begin(),
-                                           m.add_edges.end());
-  if (vminus.size() != m.remove_vertices.size()) {
-    return "duplicate vertex in V-";
-  }
-  if (vplus.size() != m.add_vertices.size()) return "duplicate vertex in V+";
-  if (eminus.size() != m.remove_edges.size()) return "duplicate edge in E-";
-  if (eplus.size() != m.add_edges.size()) return "duplicate edge in E+";
-
-  for (VertexId v : vminus) {
-    if (v >= f.capacity() || !f.present(v)) return "V- vertex not in forest";
-    if (vplus.count(v)) return "vertex in both V- and V+";
-    // Every incident edge must be explicitly deleted.
-    if (!f.is_root(v) && !eminus.count({v, f.parent(v)})) {
-      return "V- vertex keeps its parent edge (must be in E-)";
-    }
-    for (VertexId u : f.children(v)) {
-      if (u != kNoVertex && !eminus.count({u, v})) {
-        return "V- vertex keeps a child edge (must be in E-)";
-      }
-    }
-  }
-  for (VertexId v : vplus) {
-    if (v < f.capacity() && f.present(v)) return "V+ vertex already present";
-  }
-  for (const Edge& e : eminus) {
-    if (!f.has_edge(e.child, e.parent)) return "E- edge not in forest";
-  }
-  auto endpoint_exists = [&](VertexId v) {
-    return vplus.count(v) != 0 ||
-           (v < f.capacity() && f.present(v) && vminus.count(v) == 0);
-  };
-  std::unordered_set<VertexId> eplus_children;
-  for (const Edge& e : eplus) {
-    if (e.child == e.parent) return "E+ self-loop";
-    // An edge may be deleted and re-inserted within one batch (E- ∩ E+):
-    // the deletion happens first, so the insertion sees it absent.
-    if (f.has_edge(e.child, e.parent) && !eminus.count(e)) {
-      return "E+ edge already in forest";
-    }
-    if (!endpoint_exists(e.child) || !endpoint_exists(e.parent)) {
-      return "E+ edge endpoint absent after edit";
-    }
-    if (!eplus_children.insert(e.child).second) {
-      return "E+ gives a vertex two parents";
-    }
-    // The child must be parentless once E- is applied.
-    if (e.child < f.capacity() && f.present(e.child) &&
-        !f.is_root(e.child) && !eminus.count({e.child, f.parent(e.child)})) {
-      return "E+ child already has a parent not deleted by E-";
-    }
-  }
-  // Structural check: apply and validate the result. Degree-bound
-  // violations surface as exceptions from Forest::link.
+  ChangeSetIndex idx;
+  if (auto err = check_local(f, m, idx)) return err;
+  // Acyclicity: apply to a copy and walk the result. O(n) — this is the
+  // reference oracle; apply_checked finds cycles by root-climbing instead.
   try {
     Forest g = apply_change_set(f, m);
     if (auto err = check_forest(g)) return "edited graph invalid: " + *err;

@@ -28,8 +28,6 @@ BatchServer::BatchServer(contract::ContractionForest& c, ServiceConfig config,
       updater_(c),
       rcf_(c),
       agg_(rcf_, std::move(weights)),
-      mirror_(config.validate_updates ? c.extract_forest()
-                                      : forest::Forest(0)),
       cfg_(config),
       version_(initial_version) {
   // A durable server always appends to a segment based at its own initial
@@ -376,8 +374,8 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
     update.reset();
   }
 
-  // Admission control for the update: reject invalid batches (and any
-  // batch after a failed apply) before touching the structure.
+  // No batch is applied after a failed apply. Invalid batches are
+  // rejected by apply_checked below, which leaves the structure unchanged.
   std::uint64_t rejected = 0;
   if (update && failed_) {
     update->promise.set_exception(std::make_exception_ptr(std::runtime_error(
@@ -385,21 +383,13 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
     update.reset();
     ++rejected;
   }
-  if (update && cfg_.validate_updates) {
-    if (auto err = forest::check_change_set(mirror_, update->request.batch)) {
-      update->promise.set_exception(std::make_exception_ptr(
-          std::invalid_argument("BatchServer: rejected update batch: " +
-                                *err)));
-      update.reset();
-      ++rejected;
-    }
-  }
   const std::uint64_t update_ops =
       update ? update->request.batch.size() : 0;
 
   contract::UpdateStats ustats;
   contract::TouchedRecorder touched;
   std::exception_ptr update_error;
+  std::optional<std::string> invalid;  // apply_checked's rejection reason
   bool abort_exhausted = false;  // injected abort survived all retries
   std::uint64_t retries = 0;
   double update_secs = 0;
@@ -408,13 +398,14 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
     for (unsigned attempt = 0;; ++attempt) {
       try {
         // Fault site: abort at the apply boundary. An InjectedFault is
-        // raised before DynamicUpdater::apply mutates anything, so the
-        // live structure still equals the published version and the batch
-        // can simply be re-applied — epochs are idempotent up to publish.
+        // raised before apply_checked mutates anything, so the live
+        // structure still equals the published version and the batch can
+        // simply be re-applied — epochs are idempotent up to publish.
         if (PARCT_FAULT_POINT(fault::Site::kEpochApply)) {
           throw fault::InjectedFault(fault::Site::kEpochApply);
         }
-        ustats = updater_.apply(update->request.batch, &touched);
+        invalid =
+            updater_.apply_checked(update->request.batch, ustats, &touched);
         update_error = nullptr;
         break;
       } catch (const fault::InjectedFault&) {
@@ -474,7 +465,14 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
   bool applied = false;
   std::uint64_t checkpoint_failed = 0;
   if (update) {
-    if (update_error) {
+    if (invalid) {
+      // Rejected: the structure is back to the published version, and
+      // nothing reaches the WAL or the snapshot store.
+      ++rejected;
+      update->promise.set_exception(std::make_exception_ptr(
+          std::invalid_argument("BatchServer: rejected update batch: " +
+                                *invalid)));
+    } else if (update_error) {
       if (abort_exhausted) {
         // Clean rejection: every attempt aborted at the boundary, the
         // structure is untouched, and the server stays healthy for
@@ -528,9 +526,6 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
         agg_.apply_update();
         for (const auto& [v, w] : update->request.vertex_weights) {
           if (v < rcf_.size() && rcf_.present(v)) agg_.set_weight(v, w);
-        }
-        if (cfg_.validate_updates) {
-          mirror_ = forest::apply_change_set(mirror_, update->request.batch);
         }
         ++version_;
         publish_version(version_);

@@ -48,7 +48,6 @@
 #include "contraction/dynamic_update.hpp"
 #include "contraction/hooks.hpp"
 #include "forest/change_set.hpp"
-#include "forest/forest.hpp"
 #include "parallel/capability.hpp"
 #include "rc/rc_forest.hpp"
 #include "rc/tree_aggregate.hpp"
@@ -107,6 +106,16 @@ struct DurabilityLost : ServiceError {
   using ServiceError::ServiceError;
 };
 
+/// Serving knobs. Validation is not one of them: every update batch is
+/// checked against the structure itself (DynamicUpdater::apply_checked,
+/// O(m log n) expected), and an invalid batch rejects its future with
+/// std::invalid_argument — no version published, no WAL record written,
+/// the structure unchanged. A batch with both deletions and E+ is checked
+/// by applying its cut and, if E+ then closes a cycle, rolling it back; an
+/// error thrown inside either apply (say, an allocation failure) leaves
+/// the structure mid-batch and is fail-stop like any apply that throws:
+/// the future rejects with that error, later updates are refused, and
+/// queries keep serving the last published version.
 struct ServiceConfig {
   /// Bounded admission queues; submit_* blocks (backpressure) while full.
   std::size_t max_pending_updates = 16;
@@ -118,12 +127,6 @@ struct ServiceConfig {
   /// the pinned snapshot either way), no extra thread. step() always
   /// behaves as if this were off.
   bool overlap_updates = true;
-
-  /// Check every batch with forest::check_change_set against a mirrored
-  /// forest before applying; invalid batches reject their future with
-  /// std::invalid_argument instead of corrupting the structure. Costs
-  /// O(n) per update — serving default on, benches turn it off.
-  bool validate_updates = true;
 
   /// Cap on the per-epoch telemetry log (PARCT_STATS builds).
   std::size_t max_epoch_log = 4096;
@@ -403,7 +406,6 @@ class BatchServer {
   contract::DynamicUpdater updater_;
   rc::RCForest rcf_;
   rc::TreeAggregate<Weight> agg_;
-  forest::Forest mirror_;  // maintained only when validate_updates
   SnapshotStore store_;
   ServiceConfig cfg_;
   std::uint64_t version_ = 0;  // engine/step thread only

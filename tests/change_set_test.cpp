@@ -1,16 +1,58 @@
-// Tests for ChangeSet validation and application.
+// Tests for ChangeSet validation and application. Every validation case
+// runs against both checkers: the reference forest::check_change_set and
+// DynamicUpdater::apply_checked on a structure built from the same forest.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 
+#include "contraction/construct.hpp"
+#include "contraction/dynamic_update.hpp"
 #include "forest/change_set.hpp"
 #include "forest/tree_builder.hpp"
 #include "forest/validation.hpp"
 
 namespace parct::forest {
 namespace {
+
+enum class Checker { kReference, kStructure };
+
+class ChangeSetCheck : public ::testing::TestWithParam<Checker> {
+ protected:
+  /// Validates `m` against `f` with the parameter's checker. The
+  /// structure checker also applies an accepted batch; it must then equal
+  /// a from-scratch construction, and a rejected one must leave the
+  /// structure as it was.
+  std::optional<std::string> check(const Forest& f, const ChangeSet& m) {
+    if (GetParam() == Checker::kReference) return check_change_set(f, m);
+    contract::ContractionForest c(f.capacity(), f.degree_bound(), 5);
+    contract::construct(c, f);
+    const contract::ContractionForest before = c;
+    contract::DynamicUpdater updater(c);
+    contract::UpdateStats stats;
+    std::optional<std::string> err = updater.apply_checked(m, stats);
+    if (err) {
+      EXPECT_EQ(contract::structural_diff(c, before), std::nullopt);
+    } else {
+      const Forest g = apply_change_set(f, m);
+      contract::ContractionForest fresh(g.capacity(), g.degree_bound(), 5);
+      contract::construct(fresh, g);
+      EXPECT_EQ(contract::structural_diff(c, fresh), std::nullopt);
+    }
+    return err;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(BothViews, ChangeSetCheck,
+                         ::testing::Values(Checker::kReference,
+                                           Checker::kStructure),
+                         [](const auto& info) {
+                           return info.param == Checker::kReference
+                                      ? std::string("Forest")
+                                      : std::string("Structure");
+                         });
 
 Forest small_tree() {
   // 0 <- 1 <- 2, 0 <- 3; vertex 4 isolated; capacity 8 (5..7 absent).
@@ -21,112 +63,112 @@ Forest small_tree() {
   return f;
 }
 
-TEST(ChangeSet, EmptyIsValid) {
+TEST_P(ChangeSetCheck, EmptyIsValid) {
   Forest f = small_tree();
-  EXPECT_FALSE(check_change_set(f, ChangeSet{}).has_value());
+  EXPECT_FALSE(check(f, ChangeSet{}).has_value());
 }
 
-TEST(ChangeSet, ValidEdgeOps) {
+TEST_P(ChangeSetCheck, ValidEdgeOps) {
   Forest f = small_tree();
   ChangeSet m;
   m.del_edge(2, 1).ins_edge(2, 3).ins_edge(4, 2);
-  EXPECT_FALSE(check_change_set(f, m).has_value());
+  EXPECT_FALSE(check(f, m).has_value());
   Forest g = apply_change_set(f, m);
   EXPECT_EQ(g.parent(2), 3u);
   EXPECT_EQ(g.parent(4), 2u);
   EXPECT_FALSE(check_forest(g).has_value());
 }
 
-TEST(ChangeSet, ValidVertexOps) {
+TEST_P(ChangeSetCheck, ValidVertexOps) {
   Forest f = small_tree();
   ChangeSet m;
   m.del_vertex(4);                       // isolated: ok without edges
   m.ins_vertex(6).ins_edge(6, 3);        // new leaf under 3
-  EXPECT_FALSE(check_change_set(f, m).has_value());
+  EXPECT_FALSE(check(f, m).has_value());
   Forest g = apply_change_set(f, m);
   EXPECT_FALSE(g.present(4));
   EXPECT_TRUE(g.present(6));
   EXPECT_EQ(g.parent(6), 3u);
 }
 
-TEST(ChangeSet, RejectsCycle) {
+TEST_P(ChangeSetCheck, RejectsCycle) {
   Forest f = small_tree();
   ChangeSet m;
   m.ins_edge(0, 2);  // 0 <- 1 <- 2 <- 0
-  auto err = check_change_set(f, m);
+  auto err = check(f, m);
   ASSERT_TRUE(err.has_value());
   EXPECT_NE(err->find("cycle"), std::string::npos);
 }
 
-TEST(ChangeSet, RejectsSecondParent) {
+TEST_P(ChangeSetCheck, RejectsSecondParent) {
   Forest f = small_tree();
   ChangeSet m;
   m.ins_edge(2, 0);  // 2 already has parent 1
-  EXPECT_TRUE(check_change_set(f, m).has_value());
+  EXPECT_TRUE(check(f, m).has_value());
 }
 
-TEST(ChangeSet, RejectsMissingDeleteEdge) {
+TEST_P(ChangeSetCheck, RejectsMissingDeleteEdge) {
   Forest f = small_tree();
   ChangeSet m;
   m.del_edge(3, 1);  // 3's parent is 0, not 1
-  EXPECT_TRUE(check_change_set(f, m).has_value());
+  EXPECT_TRUE(check(f, m).has_value());
 }
 
-TEST(ChangeSet, RejectsVertexRemovalKeepingEdges) {
+TEST_P(ChangeSetCheck, RejectsVertexRemovalKeepingEdges) {
   Forest f = small_tree();
   ChangeSet m;
   m.del_vertex(1);  // 1 has parent edge and child edge
-  EXPECT_TRUE(check_change_set(f, m).has_value());
+  EXPECT_TRUE(check(f, m).has_value());
   ChangeSet m2;
   m2.del_vertex(1).del_edge(1, 0).del_edge(2, 1);
-  EXPECT_FALSE(check_change_set(f, m2).has_value());
+  EXPECT_FALSE(check(f, m2).has_value());
 }
 
-TEST(ChangeSet, RejectsDuplicateEntries) {
+TEST_P(ChangeSetCheck, RejectsDuplicateEntries) {
   Forest f = small_tree();
   ChangeSet m;
   m.del_edge(2, 1).del_edge(2, 1);
-  EXPECT_TRUE(check_change_set(f, m).has_value());
+  EXPECT_TRUE(check(f, m).has_value());
   ChangeSet m2;
   m2.ins_vertex(6).ins_vertex(6);
-  EXPECT_TRUE(check_change_set(f, m2).has_value());
+  EXPECT_TRUE(check(f, m2).has_value());
 }
 
-TEST(ChangeSet, RejectsAddingPresentVertex) {
+TEST_P(ChangeSetCheck, RejectsAddingPresentVertex) {
   Forest f = small_tree();
   ChangeSet m;
   m.ins_vertex(3);
-  EXPECT_TRUE(check_change_set(f, m).has_value());
+  EXPECT_TRUE(check(f, m).has_value());
 }
 
-TEST(ChangeSet, RejectsRemovingAbsentVertex) {
+TEST_P(ChangeSetCheck, RejectsRemovingAbsentVertex) {
   Forest f = small_tree();
   ChangeSet m;
   m.del_vertex(7);
-  EXPECT_TRUE(check_change_set(f, m).has_value());
+  EXPECT_TRUE(check(f, m).has_value());
 }
 
-TEST(ChangeSet, RejectsExistingInsertEdge) {
+TEST_P(ChangeSetCheck, RejectsExistingInsertEdge) {
   Forest f = small_tree();
   ChangeSet m;
   m.ins_edge(1, 0);
-  EXPECT_TRUE(check_change_set(f, m).has_value());
+  EXPECT_TRUE(check(f, m).has_value());
 }
 
-TEST(ChangeSet, RejectsEdgeToRemovedVertex) {
+TEST_P(ChangeSetCheck, RejectsEdgeToRemovedVertex) {
   Forest f = small_tree();
   ChangeSet m;
   m.del_vertex(4).ins_edge(3, 4);
-  EXPECT_TRUE(check_change_set(f, m).has_value());
+  EXPECT_TRUE(check(f, m).has_value());
 }
 
-TEST(ChangeSet, RejectsDegreeOverflow) {
+TEST_P(ChangeSetCheck, RejectsDegreeOverflow) {
   Forest f(8, 2, 8);
   f.link(1, 0);
   f.link(2, 0);
   ChangeSet m;
   m.ins_edge(3, 0);  // 0 already has 2 children, bound is 2
-  auto err = check_change_set(f, m);
+  auto err = check(f, m);
   EXPECT_TRUE(err.has_value());
 }
 

@@ -5,7 +5,9 @@
 // fault layer: every admitted request's future either resolves with a
 // result that matches the oracle at the version it reports, or rejects
 // with a documented error — no wedged futures, no torn snapshots, no
-// version that skips or repeats.
+// version that skips or repeats. The traffic includes invalid mixed
+// batches (a cut whose E+ closes a cycle), whose cut is applied and rolled
+// back inside the validator: they must reject, never land.
 //
 // Replay: each run announces its plan spec via SCOPED_TRACE, so a failing
 // schedule prints as `replay: PARCT_CHAOS_SPEC=...`. Exporting that
@@ -18,7 +20,9 @@
 #include <cstdlib>
 #include <exception>
 #include <new>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -28,7 +32,9 @@
 #include "forest/validation.hpp"
 #include "hashing/splitmix64.hpp"
 #include "parallel/scheduler.hpp"
+#include "parallel/adaptive.hpp"
 #include "service/batch_server.hpp"
+#include "test_util.hpp"
 
 namespace parct::service {
 namespace {
@@ -54,6 +60,7 @@ enum class Disposition : int {
   kEpochAborted,
   kAllocFailure,   // injected bad_alloc surfaced through apply
   kUpdatesHalted,  // rejected because an earlier apply failed mid-flight
+  kInvalidBatch,   // rejected by validation (std::invalid_argument)
 };
 
 struct RunOutcome {
@@ -80,6 +87,8 @@ Disposition classify(const std::exception_ptr& err) {
     return Disposition::kEpochAborted;
   } catch (const std::bad_alloc&) {
     return Disposition::kAllocFailure;
+  } catch (const std::invalid_argument&) {
+    return Disposition::kInvalidBatch;
   } catch (const std::runtime_error&) {
     return Disposition::kUpdatesHalted;
   } catch (...) {
@@ -114,7 +123,9 @@ RunOutcome run_chaos(const fault::Plan& plan, bool stepped) {
   hashing::SplitMix64 rng(plan.seed * 1299709 + 1);
   forest::Forest hypothetical = f;
   std::vector<std::pair<QueryBatch, std::future<QueryResult>>> qfuts;
-  std::vector<std::pair<forest::ChangeSet, std::future<UpdateResult>>> ufuts;
+  // (batch, valid, future)
+  std::vector<std::tuple<forest::ChangeSet, bool, std::future<UpdateResult>>>
+      ufuts;
   for (int i = 0; i < kRounds; ++i) {
     QueryBatch q;
     for (int j = 0; j < 24; ++j) {
@@ -132,7 +143,20 @@ RunOutcome run_chaos(const fault::Plan& plan, bool stepped) {
       UpdateRequest u;
       u.batch = batch;
       auto ufut = server.submit_update(std::move(u));
-      ufuts.emplace_back(std::move(batch), std::move(ufut));
+      ufuts.emplace_back(std::move(batch), true, std::move(ufut));
+    }
+    if (i % 6 == 4) {
+      // Invalid against every forest the server can hold: those differ
+      // from `hypothetical` only by edges of rejected delete batches, which
+      // keep the cycle (or overflow the degree of its new parent).
+      for (test::NamedBatch& nb :
+           test::edge_case_batches(hypothetical, plan.seed + i)) {
+        if (nb.kind != "E+ cycle after E- cut") continue;
+        UpdateRequest u;
+        u.batch = nb.batch;
+        auto ufut = server.submit_update(std::move(u));
+        ufuts.emplace_back(std::move(nb.batch), false, std::move(ufut));
+      }
     }
     if (stepped) server.step();
   }
@@ -151,9 +175,13 @@ RunOutcome run_chaos(const fault::Plan& plan, bool stepped) {
   // published version by exactly one.
   RunOutcome out;
   std::vector<forest::Forest> at_version = {f};
-  for (auto& [batch, fut] : ufuts) {
+  for (auto& [batch, valid, fut] : ufuts) {
     try {
       UpdateResult ur = fut.get();
+      if (!valid) {
+        ADD_FAILURE() << "an invalid batch landed at version " << ur.version;
+        return out;
+      }
       EXPECT_EQ(ur.version, at_version.size())
           << "versions must advance by one per applied update";
       at_version.push_back(
@@ -161,6 +189,8 @@ RunOutcome run_chaos(const fault::Plan& plan, bool stepped) {
       out.updates.push_back(Disposition::kServed);
     } catch (...) {
       out.updates.push_back(classify(std::current_exception()));
+      EXPECT_TRUE(!valid || out.updates.back() != Disposition::kInvalidBatch)
+          << "a valid batch was rejected as invalid";
     }
   }
   out.final_version = server.version();
@@ -276,6 +306,69 @@ TEST_F(ChaosMatrix, SteppedScheduleReplaysExactly) {
   EXPECT_TRUE(first == second)
       << "stepped chaos run diverged on replay of "
       << fault::format_plan(plan);
+}
+
+// An invalid mixed batch applies its cut and rolls it back inside the
+// validator. An allocation failure at any workspace acquire of those
+// applies is fail-stop, like any apply that throws mid-flight: the future
+// rejects with bad_alloc, later updates are refused, and queries keep
+// serving the last published version. Sweeps the failing acquire over
+// every hit of the batch; past the last, the batch rejects cleanly and
+// the next valid update lands.
+TEST_F(ChaosMatrix, InvalidMixedBatchUnderWorkspaceFaults) {
+  // Pool of 4 (SetUp) and cutover 0: the sequential and inline paths
+  // lease no workspace.
+  par::set_serial_cutover(0);
+  const forest::Forest f = forest::random_forest(kN, 5, 4, 0.4, 17);
+  forest::ChangeSet bad;
+  for (test::NamedBatch& nb : test::edge_case_batches(f, 5)) {
+    if (nb.kind == "E+ cycle after E- cut") bad = nb.batch;
+  }
+  ASSERT_FALSE(bad.add_edges.empty());
+  const forest::ChangeSet good = forest::make_delete_batch(f, 3, 11);
+  const forest::Forest after_good = forest::apply_change_set(f, good);
+  auto expect_serves = [](const BatchServer& server,
+                          const forest::Forest& oracle) {
+    const SnapshotHandle snap = server.snapshot();
+    for (VertexId v = 0; v < kN; v += 7) {
+      ASSERT_EQ(snap->root(v), forest::root_of(oracle, v)) << v;
+    }
+  };
+  std::uint64_t fail_stops = 0;
+  for (std::uint64_t at = 0;; ++at) {
+    SCOPED_TRACE("workspace-acquire fails at hit " + std::to_string(at));
+    contract::ContractionForest c(kN, 4, 3);
+    contract::construct(c, f);
+    BatchServer server(c, {}, std::vector<Weight>(kN, 1));
+    fault::Plan plan;
+    plan[fault::Site::kWorkspaceAcquire] = {fault::Mode::kOnce, at, 1, 1};
+    fault::arm(plan);
+    UpdateRequest u;
+    u.batch = bad;
+    auto fut = server.submit_update(std::move(u));
+    server.step();
+    const bool fired = fault::fired(fault::Site::kWorkspaceAcquire) > 0;
+    fault::disarm();
+    UpdateRequest next;
+    next.batch = good;
+    auto next_fut = server.submit_update(std::move(next));
+    server.step();
+    if (fired) {
+      ++fail_stops;
+      EXPECT_THROW(fut.get(), std::bad_alloc);
+      EXPECT_THROW(next_fut.get(), std::runtime_error);
+      EXPECT_EQ(server.version(), 0u);
+      expect_serves(server, f);
+    } else {
+      EXPECT_THROW(fut.get(), std::invalid_argument);
+      EXPECT_EQ(next_fut.get().version, 1u);
+      expect_serves(server, after_good);
+      break;
+    }
+    if (HasFailure()) break;
+  }
+  EXPECT_GT(fail_stops, 0u) << "the batch's applies leased no workspace";
+  par::clear_serial_cutover();
 }
 
 TEST_F(ChaosMatrix, ReplaysSpecFromEnvironment) {

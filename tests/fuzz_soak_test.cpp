@@ -86,7 +86,7 @@ TEST_P(FuzzSoak, EverythingAgrees) {
     ett.link(e.child, e.parent);
   }
 
-  auto mirror_apply = [&](const ChangeSet& m) {
+  auto apply_to_baselines = [&](const ChangeSet& m) {
     for (const Edge& e : m.remove_edges) {
       lct.cut(e.child);
       ett.cut(e.child);
@@ -190,7 +190,7 @@ TEST_P(FuzzSoak, EverythingAgrees) {
       subtree.stage_vertex_weight(v, vertex_w[v]);
     }
     updater.apply(m, &hooks);
-    mirror_apply(m);
+    apply_to_baselines(m);
     for (const auto& [v, val] : staged) edge_w[v] = val;
 
     // --- cross-checks -------------------------------------------------

@@ -1,23 +1,29 @@
 // Serving-layer unit tests: snapshot isolation, epoch semantics, version
-// monotonicity, sentinel handling for untrusted ids, update validation,
-// buffer recycling, and the engine-thread round trip.
+// monotonicity, sentinel handling for untrusted ids, update validation
+// (every invalid kind rejected without publishing or logging), buffer
+// recycling, and the engine-thread round trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <future>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "contraction/construct.hpp"
+#include "durability/manager.hpp"
 #include "forest/generators.hpp"
 #include "forest/validation.hpp"
 #include "hashing/splitmix64.hpp"
 #include "parallel/scheduler.hpp"
 #include "rc/batch_queries.hpp"
 #include "service/batch_server.hpp"
+#include "test_util.hpp"
 
 namespace parct::service {
 namespace {
@@ -138,21 +144,128 @@ TEST_F(ServiceTest, UntrustedIdsGetSentinels) {
 }
 
 TEST_F(ServiceTest, InvalidUpdateBatchIsRejected) {
-  BatchServer server(*c_);  // validate_updates defaults on
-  UpdateRequest bad;
-  bad.batch.del_vertex(static_cast<VertexId>(kN + 5));  // absent vertex
-  auto fut = server.submit_update(std::move(bad));
-  ASSERT_TRUE(server.step());
-  EXPECT_THROW(fut.get(), std::invalid_argument);
-  EXPECT_EQ(server.version(), 0u) << "rejected batch must not publish";
-  EXPECT_EQ(server.stats().updates_rejected, 1u);
+  // Every invalid kind of the edge-case catalogue — among them a V- id
+  // beyond the capacity, a V+ id of kNoVertex - 1, a degree overflow, and
+  // a mixed batch whose cycle exists only after its own cut (rolled back)
+  // — against a running engine with a WAL attached, overlap off and on.
+  // Each rejection must publish nothing and log nothing; the valid delete
+  // + re-insert after it must land and answer like the oracle. Then valid
+  // mixed batches (one acyclic only after its own cut) must land through
+  // the two-phase path and answer like the oracle too.
+  std::vector<test::NamedBatch> cases;
+  std::vector<test::NamedBatch> mixed;
+  for (test::NamedBatch& nb : test::edge_case_batches(f_, 17)) {
+    (nb.valid ? mixed : cases).push_back(std::move(nb));
+  }
+  for (const std::string& kind : test::edge_case_invalid_kinds()) {
+    ASSERT_TRUE(std::any_of(cases.begin(), cases.end(),
+                            [&](const auto& nb) { return nb.kind == kind; }))
+        << kind;
+  }
+  ASSERT_FALSE(mixed.empty());
 
-  // The server keeps serving after a rejection.
-  UpdateRequest ok;
-  ok.batch = forest::make_delete_batch(f_, 4, 77);
-  auto fut2 = server.submit_update(std::move(ok));
-  ASSERT_TRUE(server.step());
-  EXPECT_EQ(fut2.get().version, 1u);
+  // Valid mixed batches and their oracles, ending back at f_: the
+  // catalogue's batch and its inverse (also mixed), then a random batch
+  // that cuts 4 edges and re-links 4 others cut beforehand, spread over
+  // the trees so neither phase's repair region covers the other's.
+  auto inverse = [](const forest::ChangeSet& b) {
+    forest::ChangeSet inv;
+    inv.remove_vertices = b.add_vertices;
+    inv.remove_edges = b.add_edges;
+    inv.add_vertices = b.remove_vertices;
+    inv.add_edges = b.remove_edges;
+    return inv;
+  };
+  const forest::ChangeSet& m = mixed.front().batch;
+  const forest::ChangeSet undo_m = inverse(m);
+  const forest::Forest after_m = forest::apply_change_set(f_, m);
+  const auto [initial, spread] = forest::make_mixed_batch(f_, 4, 4, 23);
+  forest::ChangeSet cut_first, relink;
+  cut_first.remove_edges = spread.add_edges;
+  relink.add_edges = spread.add_edges;
+  const forest::ChangeSet undo_spread = inverse(spread);
+  const forest::Forest after_spread =
+      forest::apply_change_set(initial, spread);
+  using Step = std::pair<const forest::ChangeSet*, const forest::Forest*>;
+  const std::vector<Step> mixed_steps = {
+      {&m, &after_m},           {&undo_m, &f_},
+      {&cut_first, &initial},   {&spread, &after_spread},
+      {&undo_spread, &initial}, {&relink, &f_}};
+
+  const std::vector<Weight> w(kN, 1);
+  for (const bool overlap : {false, true}) {
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) /
+        ("parct_service_invalid_" + std::to_string(overlap));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    contract::ContractionForest c(kN, 4, 3);
+    contract::construct(c, f_);
+    durability::Manager mgr(dir.string());
+    ServiceConfig cfg;
+    cfg.overlap_updates = overlap;
+    cfg.durability = &mgr;
+    BatchServer server(c, cfg, w);
+    server.start();
+
+    std::uint64_t version = 0;
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      const std::string& kind = cases[i].kind;
+      const std::uint64_t wal_before = server.stats().wal_records;
+      // A query batch ahead of the update lets the engine overlap them.
+      auto qfut = server.submit_queries(sample_queries(50 + i, 20));
+      UpdateRequest bad;
+      bad.batch = cases[i].batch;
+      auto fut = server.submit_update(std::move(bad));
+      EXPECT_THROW(fut.get(), std::invalid_argument) << kind;
+      qfut.get();
+      EXPECT_EQ(server.version(), version) << kind;
+      EXPECT_EQ(server.stats().wal_records, wal_before) << kind;
+
+      // Delete then re-insert some edges: both land, the forest returns
+      // to f_ (so every later case stays invalid), and queries after each
+      // match the oracle at the version they report.
+      auto land = [&](forest::ChangeSet batch, const forest::Forest& oracle) {
+        UpdateRequest u;
+        u.batch = std::move(batch);
+        EXPECT_EQ(server.submit_update(std::move(u)).get().version,
+                  ++version)
+            << kind;
+        const QueryBatch q = sample_queries(70 + i, 40);
+        const QueryResult r = server.submit_queries(q).get();
+        EXPECT_EQ(r.version, version) << kind;
+        expect_matches(q, r, oracle, w);
+      };
+      const forest::ChangeSet del = forest::make_delete_batch(f_, 3, 900 + i);
+      forest::ChangeSet ins;
+      ins.add_edges = del.remove_edges;
+      land(del, forest::apply_change_set(f_, del));
+      land(ins, f_);
+      // The rejecting epoch's counters are final once later epochs ran
+      // (stats are folded in after an epoch resolves its futures).
+      const ServiceStats s = server.stats();
+      EXPECT_EQ(s.updates_rejected, i + 1) << kind;
+      EXPECT_EQ(s.wal_records, wal_before + 2) << kind;
+    }
+
+    // Valid mixed batches: the cut, then E+ checked against the post-cut
+    // roots and applied; the derived layers are repaired once over both
+    // phases' touched set.
+    for (const auto& [batch, oracle] : mixed_steps) {
+      const std::uint64_t wal_before = server.stats().wal_records;
+      UpdateRequest u;
+      u.batch = *batch;
+      EXPECT_EQ(server.submit_update(std::move(u)).get().version, ++version);
+      const QueryBatch q = sample_queries(version, 200);
+      const QueryResult r = server.submit_queries(q).get();
+      EXPECT_EQ(r.version, version);
+      expect_matches(q, r, *oracle, w);
+      EXPECT_EQ(server.stats().wal_records, wal_before + 1);
+    }
+    EXPECT_EQ(server.stats().updates_rejected, cases.size());
+    server.stop();
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST_F(ServiceTest, VertexWeightsApplyWithTheirEpoch) {
@@ -193,9 +306,7 @@ TEST_F(ServiceTest, SnapshotSatisfiesBatchQueryViewConcept) {
 }
 
 TEST_F(ServiceTest, SteadyStateRecyclesSnapshotBuffers) {
-  ServiceConfig cfg;
-  cfg.validate_updates = false;
-  BatchServer server(*c_, cfg, std::vector<Weight>(kN, 1));
+  BatchServer server(*c_, {}, std::vector<Weight>(kN, 1));
   forest::Forest cur = f_;
   for (int step = 0; step < 6; ++step) {
     UpdateRequest u;
