@@ -121,10 +121,13 @@ class Workspace {
     ++stats_.acquires;
     ++outstanding_;
     Block b;
-    if (!free_[cls].empty()) {
+    std::vector<Block>& free_list = free_[cls];
+    if (!free_list.empty()) {
       ++stats_.hits;
-      b = std::move(free_[cls].back());
-      free_[cls].pop_back();
+      b = std::move(free_list.back());
+      // resize, not pop_back: GCC 12 raises a false -Warray-bounds on the
+      // inlined ~Block of pop_back (the moved-from slot holds no array).
+      free_list.resize(free_list.size() - 1);
     } else {
       ++stats_.misses;
       stats_.bytes_allocated += bytes;

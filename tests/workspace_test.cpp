@@ -15,6 +15,7 @@
 #include "contraction/dynamic_update.hpp"
 #include "forest/generators.hpp"
 #include "forest/tree_builder.hpp"
+#include "parallel/adaptive.hpp"
 #include "parallel/scheduler.hpp"
 #include "primitives/workspace.hpp"
 
@@ -132,6 +133,18 @@ TEST(WorkspaceTest, StatsDeltaSubtractsCounters) {
   EXPECT_GT(d.bytes_allocated, 0u);
 }
 
+// Pins the serial cutover to 0 ("always parallel") for its extent, then
+// drops the override. The pooled-path tests below need it: a sub-cutover
+// phase runs the primitives' sequential paths, which lease no workspace
+// block, and the calibrated cutover varies with host load.
+class AlwaysParallel {
+ public:
+  AlwaysParallel() { par::set_serial_cutover(0); }
+  ~AlwaysParallel() { par::clear_serial_cutover(); }
+  AlwaysParallel(const AlwaysParallel&) = delete;
+  AlwaysParallel& operator=(const AlwaysParallel&) = delete;
+};
+
 TEST(WorkspaceTest, WorkerWorkspaceIsStablePerThread) {
   par::scheduler::initialize(2);
   Workspace& a = par::scheduler::worker_workspace();
@@ -144,9 +157,11 @@ TEST(WorkspaceTest, WorkerWorkspaceIsStablePerThread) {
 // allocations — every scratch acquire is a pool hit and no reused buffer
 // ever grows. Verified for an insert/inverse-delete cycle, which restores
 // the structure exactly between iterations (differential-tested identity),
-// so every cycle re-executes the same allocation profile.
+// so every cycle re-executes the same allocation profile. Cutover 0 keeps
+// every phase on the pooled, parallel path.
 TEST(WorkspaceSteadyState, PropagateIsAllocationFreeAfterWarmup) {
   par::scheduler::initialize(4);
+  const AlwaysParallel pooled;
   const std::size_t n = 50000;
   forest::Forest full = forest::build_tree(n, 4, 0.6, 0x5EEDull);
   auto [initial, batch] = forest::make_insert_batch(full, 800, 31);
@@ -180,7 +195,8 @@ TEST(WorkspaceSteadyState, PropagateIsAllocationFreeAfterWarmup) {
 // The adaptive serial fast path (par::AdaptivePhase; sub-cutover rounds
 // run inline) must preserve the allocation discipline: a warmed m=1 update
 // — whose every round takes the serial path under the default cutover —
-// still leases all scratch from the pool and never grows a buffer.
+// leases no new block and never grows a buffer (the sequential primitive
+// paths push into caller-owned vectors: ws_container_growths shows them).
 TEST(WorkspaceSteadyState, SerialFastPathStaysAllocationFreeWarm) {
   par::scheduler::initialize(1);
   forest::Forest full = forest::build_tree(50000, 4, 0.6, 0xFA57ull);
@@ -211,9 +227,10 @@ TEST(WorkspaceSteadyState, SerialFastPathStaysAllocationFreeWarm) {
 
 // Same property for mixed delete batches: after the first application of a
 // given batch shape, re-applying comparable batches stays within the warmed
-// capacities.
+// capacities. Cutover 0, so the pooled path is the one checked.
 TEST(WorkspaceSteadyState, RepeatedDeleteBatchesDoNotGrowMemory) {
   par::scheduler::initialize(4);
+  const AlwaysParallel pooled;
   const std::size_t n = 30000;
   forest::Forest f = forest::build_tree(n, 4, 0.5, 0xD00Dull);
   contract::ContractionForest c(f.capacity(), 4, 7);
@@ -239,9 +256,10 @@ TEST(WorkspaceSteadyState, RepeatedDeleteBatchesDoNotGrowMemory) {
 
 // construct() over a warm external Workspace re-leases every block from
 // the pool (deterministic coins => identical round sizes => identical size
-// classes).
+// classes). Cutover 0, so no round takes the lease-free serial tail.
 TEST(WorkspaceSteadyState, ConstructReusesWarmWorkspace) {
   par::scheduler::initialize(4);
+  const AlwaysParallel pooled;
   const std::size_t n = 30000;
   forest::Forest f = forest::build_tree(n, 4, 0.6, 0xABCDull);
   Workspace ws;
