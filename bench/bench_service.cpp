@@ -131,6 +131,9 @@ double run_config(contract::ContractionForest& c, const forest::Forest& f,
       .num("max_update_queue_depth", s.max_update_queue_depth)
       .num("snapshot_buffers_reused", s.snapshot_buffers_reused)
       .num("snapshot_buffers_allocated", s.snapshot_buffers_allocated)
+      .num("snapshot_delta_publishes", s.snapshot_delta_publishes)
+      .num("snapshot_full_publishes", s.snapshot_full_publishes)
+      .num("snapshot_entries_copied", s.snapshot_entries_copied)
       .num("wal_records", s.wal_records)
       .num("wal_bytes", s.wal_bytes)
       .num("checkpoints_written", s.checkpoints_written)

@@ -6,9 +6,12 @@
 // fast path"), derived-layer repair, and snapshot publication.
 //
 // The m=1 row is the latency headline the fast path optimizes; the JSONL
-// rows carry chose_serial / fused_passes / ws_misses so CI can gate the
-// fast path staying engaged (tools/check_alloc_budget.py with
-// bench/alloc_budget.json).
+// rows carry chose_serial / fused_passes / ws_misses and the snapshot
+// publish counters so CI can gate the fast path and the delta publish
+// staying engaged (tools/check_alloc_budget.py with
+// bench/alloc_budget.json). Each row also times the bare
+// DynamicUpdater::apply of the same batch on a twin structure:
+// e2e_over_apply is the same-run ratio of the two (advisory).
 #include <chrono>
 #include <future>
 #include <string>
@@ -17,6 +20,7 @@
 
 #include "bench/common/bench_util.hpp"
 #include "contraction/construct.hpp"
+#include "contraction/dynamic_update.hpp"
 #include "forest/generators.hpp"
 #include "forest/tree_builder.hpp"
 #include "parallel/scheduler.hpp"
@@ -32,8 +36,8 @@ int main() {
   bench::TableWriter table(
       "Small-batch update latency through BatchServer (n=" +
           std::to_string(n) + ", chain factor 0.6, step mode)",
-      {"batch_m", "latency_s", "latency_per_edge_us", "chose_serial",
-       "rounds"});
+      {"batch_m", "latency_s", "latency_per_edge_us", "apply_s",
+       "e2e_over_apply", "chose_serial", "rounds"});
 
   forest::Forest full = forest::build_tree(n, 4, 0.6, 0x53A17'BA7CULL);
   for (std::size_t m = 1; m <= 10000 && m <= n / 10; m *= 10) {
@@ -61,6 +65,26 @@ int main() {
     apply_once(batch);
     apply_once(inverse);
 
+    // The bare apply of the same batch, on a twin structure with no
+    // server around it (timed before the dump opens, so the row's pool
+    // counters stay the server's).
+    double apply_total = 0.0;
+    {
+      contract::ContractionForest twin(full.capacity(), 4, 99);
+      contract::construct(twin, initial);
+      contract::DynamicUpdater bare(twin);
+      bare.apply(batch);
+      bare.apply(inverse);
+      for (int r = 0; r < reps; ++r) {
+        const auto t0 = std::chrono::steady_clock::now();
+        bare.apply(batch);
+        const auto t1 = std::chrono::steady_clock::now();
+        apply_total += std::chrono::duration<double>(t1 - t0).count();
+        bare.apply(inverse);
+      }
+    }
+    const double apply_t = apply_total / reps;
+
     bench::StatsDump dump("small_batch");
     service::UpdateResult last;
     double total = 0.0;
@@ -75,10 +99,20 @@ int main() {
 
     table.row({std::to_string(m), bench::fmt_s(t),
                bench::fmt(t / static_cast<double>(m) * 1e6),
+               bench::fmt_s(apply_t), bench::fmt(t / apply_t),
                std::to_string(last.stats.chose_serial),
                std::to_string(last.stats.rounds)});
 
-    dump.num("n", n).num("batch_m", m).num("latency_s", t);
+    const service::ServiceStats s = server.stats();
+    dump.num("n", n)
+        .num("batch_m", m)
+        .num("latency_s", t)
+        .num("apply_s", apply_t)
+        .num("e2e_over_apply", t / apply_t)
+        .num("snapshot_delta_publishes", s.snapshot_delta_publishes)
+        .num("snapshot_full_publishes", s.snapshot_full_publishes)
+        .num("snapshot_entries_copied", s.snapshot_entries_copied)
+        .num("snapshot_buffers_allocated", s.snapshot_buffers_allocated);
     bench::add_update_stats(dump, last.stats);
     dump.emit();
   }

@@ -21,6 +21,11 @@ static_assert(std::is_same_v<Weight, durability::Weight>,
               "the WAL/checkpoint weight encoding must match the serving "
               "weight type");
 
+// A delta publish copies its dirty ids one by one, each a scattered read
+// and write; past n / kDeltaPublishMaxShare of them the sequential full
+// copy is cheaper.
+constexpr std::size_t kDeltaPublishMaxShare = 8;
+
 BatchServer::BatchServer(contract::ContractionForest& c, ServiceConfig config,
                          std::vector<Weight> weights,
                          std::uint64_t initial_version)
@@ -41,8 +46,26 @@ BatchServer::~BatchServer() { stop(); }
 
 void BatchServer::publish_version(std::uint64_t version) {
   auto buf = store_.begin_build();
-  buf->assign_from(rcf_, &agg_, version);
+  // The recycled slot normally holds version - 2, and dirty_ names every
+  // entry the two epochs since then changed. A fresh buffer is empty, so
+  // the size checks send it (and a V+ capacity growth) to the full copy.
+  const std::size_t n = rcf_.size();
+  const std::size_t dirty = dirty_[0].size() + dirty_[1].size();
+  const bool delta = buf->version + 2 == version && buf->events.size() == n &&
+                     buf->weights.size() == agg_.weights().size() &&
+                     buf->accumulators.size() == agg_.accumulators().size() &&
+                     dirty <= n / kDeltaPublishMaxShare;
+  if (delta) {
+    for (const std::vector<VertexId>& d : dirty_) {
+      buf->patch_from(rcf_, &agg_, version, d);
+    }
+  } else {
+    buf->assign_from(rcf_, &agg_, version);
+  }
   store_.publish(std::move(buf));
+  MutexLock slk(stats_mu_);
+  ++(delta ? stats_.snapshot_delta_publishes : stats_.snapshot_full_publishes);
+  stats_.snapshot_entries_copied += delta ? dirty : n;
 }
 
 std::future<QueryResult> BatchServer::submit_queries(QueryBatch q) {
@@ -180,6 +203,18 @@ void BatchServer::note_update_depth(std::size_t depth) {
   MutexLock slk(stats_mu_);
   stats_.max_update_queue_depth =
       std::max<std::uint64_t>(stats_.max_update_queue_depth, depth);
+}
+
+void BatchServer::note_update_outcome(bool applied, std::uint64_t ops,
+                                      std::uint64_t rejected,
+                                      std::uint64_t retries) {
+  MutexLock slk(stats_mu_);
+  if (applied) {
+    ++stats_.updates_applied;
+    stats_.update_ops += ops;
+  }
+  stats_.updates_rejected += rejected;
+  stats_.epoch_retries += retries;
 }
 
 void BatchServer::start() {
@@ -368,7 +403,7 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
     queries.resize(keep);
   }
   if (update && update->deadline && *update->deadline < now) {
-    ++deadline_rejected;
+    note_deadline_rejection();
     update->promise.set_exception(std::make_exception_ptr(DeadlineExceeded(
         "BatchServer: update deadline expired before its epoch started")));
     update.reset();
@@ -376,12 +411,11 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
 
   // No batch is applied after a failed apply. Invalid batches are
   // rejected by apply_checked below, which leaves the structure unchanged.
-  std::uint64_t rejected = 0;
   if (update && failed_) {
+    note_update_outcome(false, 0, 1, 0);
     update->promise.set_exception(std::make_exception_ptr(std::runtime_error(
         "BatchServer: an earlier update failed; updates halted")));
     update.reset();
-    ++rejected;
   }
   const std::uint64_t update_ops =
       update ? update->request.batch.size() : 0;
@@ -465,26 +499,25 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
   bool applied = false;
   std::uint64_t checkpoint_failed = 0;
   if (update) {
+    std::exception_ptr rejection;  // how the update's future rejects
     if (invalid) {
       // Rejected: the structure is back to the published version, and
       // nothing reaches the WAL or the snapshot store.
-      ++rejected;
-      update->promise.set_exception(std::make_exception_ptr(
-          std::invalid_argument("BatchServer: rejected update batch: " +
-                                *invalid)));
+      rejection = std::make_exception_ptr(std::invalid_argument(
+          "BatchServer: rejected update batch: " + *invalid));
     } else if (update_error) {
       if (abort_exhausted) {
         // Clean rejection: every attempt aborted at the boundary, the
         // structure is untouched, and the server stays healthy for
         // subsequent updates.
-        update->promise.set_exception(std::make_exception_ptr(EpochAborted(
+        rejection = std::make_exception_ptr(EpochAborted(
             "BatchServer: update epoch aborted at the apply boundary "
             "after " +
             std::to_string(cfg_.max_epoch_retries) + " retr" +
-            (cfg_.max_epoch_retries == 1 ? "y" : "ies"))));
+            (cfg_.max_epoch_retries == 1 ? "y" : "ies")));
       } else {
         failed_ = true;
-        update->promise.set_exception(update_error);
+        rejection = update_error;
       }
     } else {
       // Write-ahead: the applied batch must be durable before the version
@@ -492,7 +525,6 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
       // successful apply keeps the WAL equal to the exactly-applied
       // history (an EpochAborted batch never reaches the log); logging
       // *before* publish keeps every acknowledged update durable.
-      bool durable = true;
       if (cfg_.durability) {
         try {
           cfg_.durability->append(version_ + 1, update->request.batch,
@@ -505,14 +537,13 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
           // queries keep serving the last published (fully durable)
           // snapshot. Recovery from disk restores exactly the
           // acknowledged history.
-          durable = false;
           failed_ = true;
-          update->promise.set_exception(std::make_exception_ptr(
+          rejection = std::make_exception_ptr(
               DurabilityLost("BatchServer: WAL append failed; the update "
-                             "was applied in memory but is not durable")));
+                             "was applied in memory but is not durable"));
         }
       }
-      if (durable) {
+      if (!rejection) {
         const auto t_p = contract::stats_now();
         // Repair the derived layers over the affected region: the touched
         // set is the event-fired vertices plus the batch's V- (which fires
@@ -524,30 +555,48 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
         agg_.prepare_update(tv);
         rcf_.refresh(tv);
         agg_.apply_update();
+        // This epoch's dirty ids for the delta publish: the refreshed
+        // events, the repaired accumulators, and each reweighted vertex
+        // with the representative chain set_weight walks.
+        std::vector<VertexId>& dirty = dirty_[(version_ + 1) % 2];
+        dirty.assign(tv.begin(), tv.end());
+        dirty.insert(dirty.end(), agg_.last_region().begin(),
+                     agg_.last_region().end());
         for (const auto& [v, w] : update->request.vertex_weights) {
-          if (v < rcf_.size() && rcf_.present(v)) agg_.set_weight(v, w);
+          if (v >= rcf_.size() || !rcf_.present(v)) continue;
+          agg_.set_weight(v, w);
+          for (VertexId u = v; u != kNoVertex; u = rcf_.representative(u)) {
+            dirty.push_back(u);
+          }
         }
         ++version_;
         publish_version(version_);
         publish_secs = contract::stats_since(t_p);
-        // Fulfilled only after publication: a waiter that then calls
-        // snapshot() observes its own write — including after a retried
-        // epoch (read-your-writes holds across retries).
-        update->promise.set_value(UpdateResult{version_, ustats});
         applied = true;
-        // Background checkpointing: roll the WAL up into a fresh
-        // checkpoint every checkpoint_every updates. Failure here is
-        // degradation, not an error: the rename is the commit point, so
-        // the previous checkpoint (plus the still-growing WAL) remains a
-        // complete recovery image, and the next interval retries.
-        if (cfg_.durability && cfg_.checkpoint_every != 0 &&
-            version_ % cfg_.checkpoint_every == 0) {
-          try {
-            cfg_.durability->checkpoint(c_, agg_.weights(), version_);
-          } catch (...) {
-            ++checkpoint_failed;
-          }
-        }
+      }
+    }
+    // Counters first, then the future: a waiter that then calls stats()
+    // sees this update counted. Fulfilled only after publication: a
+    // waiter that then calls snapshot() observes its own write —
+    // including after a retried epoch (read-your-writes holds across
+    // retries).
+    note_update_outcome(applied, update_ops, invalid ? 1 : 0, retries);
+    if (applied) {
+      update->promise.set_value(UpdateResult{version_, ustats});
+    } else {
+      update->promise.set_exception(rejection);
+    }
+    // Background checkpointing: roll the WAL up into a fresh checkpoint
+    // every checkpoint_every updates. Failure here is degradation, not an
+    // error: the rename is the commit point, so the previous checkpoint
+    // (plus the still-growing WAL) remains a complete recovery image, and
+    // the next interval retries.
+    if (applied && cfg_.durability && cfg_.checkpoint_every != 0 &&
+        version_ % cfg_.checkpoint_every == 0) {
+      try {
+        cfg_.durability->checkpoint(c_, agg_.weights(), version_);
+      } catch (...) {
+        ++checkpoint_failed;
       }
     }
   }
@@ -560,15 +609,9 @@ bool BatchServer::process_epoch(std::vector<PendingQuery> queries,
     if (degraded) ++stats_.degraded_epochs;
     stats_.query_batches += queries.size();
     stats_.queries_served += queries_answered;
-    stats_.updates_rejected += rejected;
     stats_.queries_shed += shed_items;
     stats_.deadline_rejections += deadline_rejected;
-    stats_.epoch_retries += retries;
     stats_.checkpoint_failures += checkpoint_failed;
-    if (applied) {
-      ++stats_.updates_applied;
-      stats_.update_ops += update_ops;
-    }
     stats_.epoch_seconds += epoch_secs;
     stats_.query_seconds += query_secs;
     stats_.update_seconds += update_secs;

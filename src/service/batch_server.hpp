@@ -14,8 +14,9 @@
 //      update batch toward version v+1 on the live structure,
 //   3. repairs the derived layers incrementally (RCForest::refresh +
 //      TreeAggregate::prepare_update/apply_update over the touched set),
-//      builds version v+1 into a recycled snapshot buffer, and publishes
-//      it for the next epoch's queries.
+//      builds version v+1 into a recycled snapshot buffer — copying only
+//      the entries versions v and v+1 changed, since the buffer holds
+//      v-1 — and publishes it for the next epoch's queries.
 //
 // Readers never observe a half-propagated round: they only ever see
 // published snapshots, and a snapshot is only published after apply() and
@@ -222,6 +223,10 @@ struct ServiceStats {
   std::uint64_t snapshots_published = 0;
   std::uint64_t snapshot_buffers_reused = 0;
   std::uint64_t snapshot_buffers_allocated = 0;
+  // How each published version was built (docs/OBSERVABILITY.md §3a).
+  std::uint64_t snapshot_delta_publishes = 0;  ///< patched recycled buffer
+  std::uint64_t snapshot_full_publishes = 0;   ///< full O(n) copy
+  std::uint64_t snapshot_entries_copied = 0;   ///< vertex entries copied
   std::uint64_t backpressure_waits = 0;
   std::uint64_t max_query_queue_depth = 0;
   std::uint64_t max_update_queue_depth = 0;
@@ -393,6 +398,11 @@ class BatchServer {
   void note_admission_drop() PARCT_EXCLUDES(stats_mu_);
   void note_query_depth(std::size_t depth) PARCT_EXCLUDES(stats_mu_);
   void note_update_depth(std::size_t depth) PARCT_EXCLUDES(stats_mu_);
+  // Folds an update's outcome into the stats before its future resolves,
+  // so a client reading stats() right after fut.get() sees it.
+  void note_update_outcome(bool applied, std::uint64_t ops,
+                           std::uint64_t rejected, std::uint64_t retries)
+      PARCT_EXCLUDES(stats_mu_);
 
   void engine_loop() PARCT_EXCLUDES(mu_, stats_mu_);
   bool process_epoch(std::vector<PendingQuery> queries,
@@ -400,7 +410,7 @@ class BatchServer {
                      std::size_t query_depth, std::size_t update_depth,
                      bool allow_overlap) PARCT_EXCLUDES(mu_, stats_mu_);
   QueryResult answer(const QueryBatch& q, const Snapshot& snap) const;
-  void publish_version(std::uint64_t version);
+  void publish_version(std::uint64_t version) PARCT_EXCLUDES(stats_mu_);
 
   contract::ContractionForest& c_;
   contract::DynamicUpdater updater_;
@@ -410,6 +420,10 @@ class BatchServer {
   ServiceConfig cfg_;
   std::uint64_t version_ = 0;  // engine/step thread only
   bool failed_ = false;        // an apply() threw mid-flight; updates halted
+  // Ids whose snapshot entries the epoch producing version v changed, at
+  // dirty_[v % 2]: the recycled buffer holds v - 2, so these two name
+  // everything the delta publish of v copies (engine/step thread only).
+  std::vector<VertexId> dirty_[2];
   std::atomic<bool> pool_healthy_{true};
 
   Mutex mu_;

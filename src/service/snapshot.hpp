@@ -14,6 +14,13 @@
 // state allocates nothing beyond the two O(n) buffers) and publish() it
 // atomically; readers acquire() a SnapshotHandle that pins one version
 // for as long as they hold it.
+//
+// Building a version is a delta in the steady state: the recycled buffer
+// holds the version two before the one being built, so the writer copies
+// only the entries the two epochs since then touched (patch_from, O(m log
+// n) per epoch). A full O(n) assign_from is the fallback for a fresh
+// buffer, a staler one (a reader pinned the other slot), a capacity
+// change, or a batch whose touched region is a large share of n.
 #pragma once
 
 #include <cstdint>
@@ -78,8 +85,9 @@ struct Snapshot {
                                                      : Weight{};
   }
 
-  /// Fills this buffer from the live derived state. O(n) vector copies
-  /// (memcpy-speed; capacity is reused on recycled buffers).
+  /// Fills this buffer from the live derived state: the full O(n) copy
+  /// (memcpy-speed; capacity is reused on recycled buffers). Always
+  /// correct, whatever the buffer held before.
   void assign_from(const rc::RCForest& rcf,
                    const rc::TreeAggregate<Weight>* agg,
                    std::uint64_t new_version) {
@@ -91,6 +99,27 @@ struct Snapshot {
     } else {
       weights.clear();
       accumulators.clear();
+    }
+  }
+
+  /// Brings this buffer current by re-copying only the entries (event,
+  /// weight and accumulator) of the ids in `dirty`; ids may repeat. The
+  /// caller guarantees that the buffer holds an earlier version with the
+  /// live capacity and that, over all patch_from calls for `new_version`,
+  /// every entry changed since that version is named. O(|dirty|), serial.
+  void patch_from(const rc::RCForest& rcf,
+                  const rc::TreeAggregate<Weight>* agg,
+                  std::uint64_t new_version,
+                  const std::vector<VertexId>& dirty) {
+    version = new_version;
+    const std::vector<rc::Event>& live_events = rcf.events();
+    for (const VertexId v : dirty) {
+      if (v >= events.size()) continue;
+      events[v] = live_events[v];
+      if (agg != nullptr) {
+        weights[v] = agg->weights()[v];
+        accumulators[v] = agg->accumulators()[v];
+      }
     }
   }
 };

@@ -1,7 +1,8 @@
 // Serving-layer unit tests: snapshot isolation, epoch semantics, version
 // monotonicity, sentinel handling for untrusted ids, update validation
 // (every invalid kind rejected without publishing or logging), buffer
-// recycling, and the engine-thread round trip.
+// recycling, delta publish against a full copy, stats current when a
+// future resolves, and the engine-thread round trip.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,11 +18,14 @@
 
 #include "contraction/construct.hpp"
 #include "durability/manager.hpp"
+#include "fault/fault_injection.hpp"
 #include "forest/generators.hpp"
 #include "forest/validation.hpp"
 #include "hashing/splitmix64.hpp"
 #include "parallel/scheduler.hpp"
 #include "rc/batch_queries.hpp"
+#include "rc/rc_forest.hpp"
+#include "rc/tree_aggregate.hpp"
 #include "service/batch_server.hpp"
 #include "test_util.hpp"
 
@@ -218,6 +222,7 @@ TEST_F(ServiceTest, InvalidUpdateBatchIsRejected) {
       bad.batch = cases[i].batch;
       auto fut = server.submit_update(std::move(bad));
       EXPECT_THROW(fut.get(), std::invalid_argument) << kind;
+      EXPECT_EQ(server.stats().updates_rejected, i + 1) << kind;
       qfut.get();
       EXPECT_EQ(server.version(), version) << kind;
       EXPECT_EQ(server.stats().wal_records, wal_before) << kind;
@@ -241,8 +246,6 @@ TEST_F(ServiceTest, InvalidUpdateBatchIsRejected) {
       ins.add_edges = del.remove_edges;
       land(del, forest::apply_change_set(f_, del));
       land(ins, f_);
-      // The rejecting epoch's counters are final once later epochs ran
-      // (stats are folded in after an epoch resolves its futures).
       const ServiceStats s = server.stats();
       EXPECT_EQ(s.updates_rejected, i + 1) << kind;
       EXPECT_EQ(s.wal_records, wal_before + 2) << kind;
@@ -321,6 +324,216 @@ TEST_F(ServiceTest, SteadyStateRecyclesSnapshotBuffers) {
   EXPECT_LE(s.snapshot_buffers_allocated, 2u)
       << "steady state must recycle the double buffer, not allocate";
   EXPECT_GE(s.snapshot_buffers_reused, 5u);
+  // The two fresh buffers are filled by full copies; every recycled one
+  // is patched with the two epochs' dirty entries only.
+  EXPECT_EQ(s.snapshot_full_publishes, 2u);
+  EXPECT_EQ(s.snapshot_delta_publishes, 5u);
+  EXPECT_LT(s.snapshot_entries_copied, 3 * kN);
+}
+
+// The published snapshot of a server bound to `c` must equal a full copy
+// of derived state built from scratch over `c` with weights `w` — whether
+// it was patched or copied. Call with the engine idle (every submitted
+// future resolved).
+void expect_snapshot_current(const BatchServer& server,
+                             const contract::ContractionForest& c,
+                             const std::vector<Weight>& w,
+                             const std::string& step) {
+  // A started engine owns the pool; build the reference inline.
+  par::scheduler::SerialScope serial;
+  const rc::RCForest rcf(c);
+  const rc::TreeAggregate<Weight> agg(rcf, w);
+  Snapshot want;
+  want.assign_from(rcf, &agg, server.version());
+  const SnapshotHandle got = server.snapshot();
+  ASSERT_EQ(got->version, want.version) << step;
+  ASSERT_EQ(got->events.size(), want.events.size()) << step;
+  for (std::size_t v = 0; v < want.events.size(); ++v) {
+    const rc::Event& a = got->events[v];
+    const rc::Event& b = want.events[v];
+    ASSERT_TRUE(a.kind == b.kind && a.round == b.round && a.into == b.into &&
+                a.over == b.over)
+        << step << ": event of vertex " << v;
+  }
+  ASSERT_EQ(got->weights, want.weights) << step;
+  ASSERT_EQ(got->accumulators, want.accumulators) << step;
+}
+
+TEST_F(ServiceTest, DeltaPublishMatchesFullCopy) {
+  // Every kind of epoch the server publishes — or refuses to — followed
+  // by a check of the published snapshot against a from-scratch full
+  // copy: deletes and re-inserts, weight changes, a V+ batch that grows
+  // the capacity, a batch too large for a delta, a rejected batch, an
+  // aborted and a retried epoch (fault-injection builds), and a reader
+  // pinning a version across two publishes, with overlap off and on.
+  for (const bool overlap : {false, true}) {
+    SCOPED_TRACE(overlap ? "overlap on" : "overlap off");
+    contract::ContractionForest c(kN, 4, 3);
+    contract::construct(c, f_);
+    std::vector<Weight> w(kN, 1);
+    ServiceConfig cfg;
+    cfg.overlap_updates = overlap;
+    cfg.retry_backoff = std::chrono::microseconds(20);
+    BatchServer server(c, cfg, w);
+    server.start();
+    forest::Forest cur = f_;
+    std::uint64_t step_no = 0;
+
+    // Submits `u` with a query batch ahead of it (so the engine can
+    // overlap them), waits for both, and checks the snapshot.
+    auto run = [&](UpdateRequest u, const std::string& step) {
+      ++step_no;
+      auto qfut = server.submit_queries(sample_queries(step_no, 16));
+      const forest::ChangeSet batch = u.batch;
+      const auto weights = u.vertex_weights;
+      auto fut = server.submit_update(std::move(u));
+      bool landed = true;
+      try {
+        fut.get();
+      } catch (const std::exception&) {
+        landed = false;
+      }
+      qfut.get();
+      if (landed) {
+        cur = forest::apply_change_set(cur, batch);
+        w.resize(cur.capacity(), 0);
+        for (const auto& [v, x] : weights) {
+          if (v < cur.capacity() && cur.present(v)) w[v] = x;
+        }
+      }
+      expect_snapshot_current(server, c, w, step);
+      return landed;
+    };
+    auto weights_of = [](std::vector<VertexId> vs, Weight x) {
+      UpdateRequest u;
+      for (const VertexId v : vs) u.vertex_weights.push_back({v, x});
+      return u;
+    };
+
+    for (int k = 0; k < 3; ++k) {
+      UpdateRequest del;
+      del.batch = forest::make_delete_batch(cur, 3, 40 + k);
+      UpdateRequest ins = weights_of({7, 300, 1200}, 2 + k);
+      ins.batch.add_edges = del.batch.remove_edges;
+      ASSERT_TRUE(run(std::move(del), "delete " + std::to_string(k)));
+      ASSERT_TRUE(run(std::move(ins), "re-insert " + std::to_string(k)));
+      ASSERT_TRUE(run(weights_of({static_cast<VertexId>(100 * k + 5)}, -4),
+                      "weights only " + std::to_string(k)));
+    }
+
+    // V+: a new three-vertex tree grows the capacity (a full copy), and
+    // the next publish still finds its recycled slot at the old capacity.
+    const VertexId a = static_cast<VertexId>(cur.capacity());
+    UpdateRequest grow = weights_of({a, a + 1, a + 2}, 10);
+    grow.batch.ins_vertex(a).ins_vertex(a + 1).ins_vertex(a + 2);
+    grow.batch.ins_edge(a + 1, a).ins_edge(a + 2, a);
+    const std::uint64_t full_before = server.stats().snapshot_full_publishes;
+    ASSERT_TRUE(run(std::move(grow), "V+ growth"));
+    ASSERT_TRUE(run(weights_of({a + 1}, 3), "after growth"));
+    UpdateRequest cut;
+    cut.batch.del_edge(a + 2, a);
+    ASSERT_TRUE(run(std::move(cut), "delete after growth"));
+    EXPECT_EQ(server.stats().snapshot_full_publishes, full_before + 2);
+
+    // A batch whose touched region is a large share of n: full copy.
+    UpdateRequest big;
+    big.batch = forest::make_delete_batch(cur, kN / 4, 77);
+    UpdateRequest unbig;
+    unbig.batch.add_edges = big.batch.remove_edges;
+    const std::uint64_t full_big = server.stats().snapshot_full_publishes;
+    ASSERT_TRUE(run(std::move(big), "large delete"));
+    ASSERT_TRUE(run(std::move(unbig), "large re-insert"));
+    EXPECT_GT(server.stats().snapshot_full_publishes, full_big);
+
+    // A rejected batch publishes nothing; the next delta still covers the
+    // two epochs since its recycled slot.
+    for (test::NamedBatch& nb : test::edge_case_batches(cur, 5)) {
+      if (nb.valid) continue;
+      UpdateRequest bad;
+      bad.batch = std::move(nb.batch);
+      ASSERT_FALSE(run(std::move(bad), "rejected: " + nb.kind));
+      break;
+    }
+    UpdateRequest del;
+    del.batch = forest::make_delete_batch(cur, 2, 91);
+    ASSERT_TRUE(run(std::move(del), "delete after rejection"));
+
+#if PARCT_FAULT_INJECT
+    // Every attempt aborts (EpochAborted, nothing published); then one
+    // attempt aborts and the retry lands.
+    fault::Plan plan;
+    plan[fault::Site::kEpochApply] = {fault::Mode::kBurst, 0, 1,
+                                      cfg.max_epoch_retries + 1};
+    fault::arm(plan);
+    UpdateRequest aborted;
+    aborted.batch = forest::make_delete_batch(cur, 2, 92);
+    ASSERT_FALSE(run(std::move(aborted), "aborted epoch"));
+    plan[fault::Site::kEpochApply] = {fault::Mode::kOnce, 0, 1, 1};
+    fault::arm(plan);
+    UpdateRequest retried;
+    retried.batch = forest::make_delete_batch(cur, 2, 93);
+    ASSERT_TRUE(run(std::move(retried), "retried epoch"));
+    fault::disarm();
+    EXPECT_GE(server.stats().epoch_retries, cfg.max_epoch_retries + 1u);
+#endif
+
+    // A reader pinning a version across two publishes: the second finds
+    // both slots busy and fills a fresh buffer by a full copy.
+    {
+      const SnapshotHandle pin = server.snapshot();
+      const std::uint64_t full_pin = server.stats().snapshot_full_publishes;
+      ASSERT_TRUE(run(weights_of({11}, 6), "pinned 1"));
+      ASSERT_TRUE(run(weights_of({12}, 6), "pinned 2"));
+      EXPECT_EQ(server.stats().snapshot_full_publishes, full_pin + 1);
+      EXPECT_EQ(server.stats().snapshot_buffers_allocated, 3u);
+    }
+    for (int k = 0; k < 4; ++k) {
+      ASSERT_TRUE(run(weights_of({static_cast<VertexId>(20 + k)}, 1),
+                      "after unpin " + std::to_string(k)));
+    }
+    const ServiceStats s = server.stats();
+    EXPECT_GE(s.snapshot_delta_publishes, 10u);
+    EXPECT_EQ(s.snapshot_delta_publishes + s.snapshot_full_publishes,
+              s.snapshots_published);
+    server.stop();
+  }
+}
+
+TEST_F(ServiceTest, StatsAreCurrentWhenTheFutureResolves) {
+  // With the engine running, stats() read right after fut.get() already
+  // counts that update, accepted or rejected.
+  BatchServer server(*c_, {}, std::vector<Weight>(kN, 1));
+  server.start();
+  std::uint64_t applied = 0, ops = 0, rejected = 0;
+  forest::Forest cur = f_;
+  for (int k = 0; k < 8; ++k) {
+    UpdateRequest u;
+    u.batch = forest::make_delete_batch(cur, 2, 60 + k);
+    forest::ChangeSet undo;
+    undo.add_edges = u.batch.remove_edges;
+    ops += u.batch.size() + undo.size();
+    server.submit_update(std::move(u)).get();
+    ++applied;
+    EXPECT_EQ(server.stats().updates_applied, applied) << k;
+    UpdateRequest back;
+    back.batch = undo;
+    server.submit_update(std::move(back)).get();
+    ++applied;
+    ServiceStats s = server.stats();
+    EXPECT_EQ(s.updates_applied, applied) << k;
+    EXPECT_EQ(s.update_ops, ops) << k;
+
+    UpdateRequest bad;
+    bad.batch = undo;  // the edges are present again: duplicate inserts
+    EXPECT_THROW(server.submit_update(std::move(bad)).get(),
+                 std::invalid_argument);
+    ++rejected;
+    s = server.stats();
+    EXPECT_EQ(s.updates_rejected, rejected) << k;
+    EXPECT_EQ(s.updates_applied, applied) << k;
+    EXPECT_EQ(s.update_ops, ops) << k;
+  }
+  server.stop();
 }
 
 TEST_F(ServiceTest, EngineThreadServesSubmittersEndToEnd) {

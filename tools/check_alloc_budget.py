@@ -14,14 +14,21 @@ Besides plain numeric ceilings, a bench entry may carry:
   "floors"        {counter: minimum} — every matching row must satisfy
                   counter >= minimum (e.g. chose_serial >= 1 proves the
                   adaptive serial fast path stayed engaged).
-  "floors_filter" {field: value} — restricts which rows the floors apply
-                  to (e.g. {"batch_m": 1} gates only the single-edge
-                  rows). At least one row must match, so a sweep that
-                  drops the gated configuration fails loudly.
+  "floors_filter" {field: value} — restricts which rows the floors and
+                  the filtered ceilings apply to (e.g. {"batch_m": 1}
+                  gates only the single-edge rows). At least one row must
+                  match, so a sweep that drops the gated configuration
+                  fails loudly.
+  "filtered_ceilings" {counter: maximum} — like the plain ceilings, but
+                  only over the rows matching "floors_filter" (e.g.
+                  snapshot_full_publishes <= 2 on the single-edge rows:
+                  after the two warm-up publishes every version is a
+                  delta publish).
 
-Timing fields are reported but never enforced — the budget gates only the
-allocation counters, which are deterministic. Exit status: 0 = all budgets
-met, 1 = violation or missing bench, 2 = usage/parse error.
+Timing fields, and the same-run ratio e2e_over_apply, are reported but
+never enforced — the budget gates only counters, which are deterministic.
+Exit status: 0 = all budgets met, 1 = violation or missing bench, 2 =
+usage/parse error.
 """
 
 import json
@@ -68,9 +75,11 @@ def main(argv):
     failures = 0
     for bench, entry in budgets.items():
         ceilings = {k: v for k, v in entry.items()
-                    if k not in ("floors", "floors_filter")}
+                    if k not in ("floors", "floors_filter",
+                                 "filtered_ceilings")}
         floors = entry.get("floors", {})
         floors_filter = entry.get("floors_filter", {})
+        filtered_ceilings = entry.get("filtered_ceilings", {})
 
         rows = [d for d in lines if d.get("bench") == bench]
         if not rows:
@@ -84,7 +93,7 @@ def main(argv):
             f"{key}={worst[key]} (budget {ceilings[key]})" for key in ceilings
         )
 
-        if floors:
+        if floors or filtered_ceilings:
             gated = [r for r in rows
                      if all(r.get(f) == v for f, v in floors_filter.items())]
             if not gated:
@@ -95,10 +104,18 @@ def main(argv):
             else:
                 least = {key: min(r.get(key, 0) for r in gated)
                          for key in floors}
-                ok = ok and all(least[key] >= floors[key] for key in floors)
+                most = {key: max(r.get(key, 0) for r in gated)
+                        for key in filtered_ceilings}
+                ok = (ok
+                      and all(least[key] >= floors[key] for key in floors)
+                      and all(most[key] <= filtered_ceilings[key]
+                              for key in filtered_ceilings))
                 detail += "; " + ", ".join(
-                    f"{key}={least[key]} (floor {floors[key]}, "
-                    f"{len(gated)} gated row(s))" for key in floors
+                    [f"{key}={least[key]} (floor {floors[key]}, "
+                     f"{len(gated)} gated row(s))" for key in floors] +
+                    [f"{key}={most[key]} (budget {filtered_ceilings[key]}, "
+                     f"{len(gated)} gated row(s))"
+                     for key in filtered_ceilings]
                 )
 
         status = "ok  " if ok else "FAIL"
@@ -108,14 +125,15 @@ def main(argv):
 
     # Advisory timing summary (never enforced).
     for d in lines:
-        for key in ("update_time_s", "construct_time_s"):
+        for key in ("update_time_s", "construct_time_s", "e2e_over_apply"):
             if key in d:
                 print(f"time {d.get('bench')}: {key}={d[key]} "
                       f"(advisory only)")
 
     if failures:
         print(f"\n{failures} budget violation(s) — a steady-state heap "
-              f"allocation crept back into the hot path.")
+              f"allocation or a full-copy fallback crept back into the "
+              f"hot path.")
         return 1
     print("\nall allocation budgets met")
     return 0
